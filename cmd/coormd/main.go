@@ -24,13 +24,11 @@ import (
 	"os"
 	"strconv"
 	"strings"
-	"sync"
 	"time"
 
 	"coormv2/internal/clock"
 	"coormv2/internal/core"
 	"coormv2/internal/federation"
-	"coormv2/internal/metrics"
 	"coormv2/internal/obs"
 	"coormv2/internal/rms"
 	"coormv2/internal/transport"
@@ -83,26 +81,6 @@ func main() {
 	}
 	clk := clock.NewRealClock()
 	reg := obs.NewRegistry()
-	var recsMu sync.Mutex
-	var recs []*metrics.Recorder
-	newRecorder := func() *metrics.Recorder {
-		r := metrics.NewRecorder()
-		recsMu.Lock()
-		recs = append(recs, r)
-		recsMu.Unlock()
-		return r
-	}
-	reg.RegisterCounters("metrics", func() map[string]int64 {
-		recsMu.Lock()
-		defer recsMu.Unlock()
-		tot := make(map[string]int64)
-		for _, r := range recs {
-			for k, v := range r.Totals() {
-				tot[k] += v
-			}
-		}
-		return tot
-	})
 	if *pprofOn != "" {
 		// net/http/pprof registers its handlers on the default mux; serve
 		// it on a dedicated side listener so profiling endpoints are never
@@ -145,7 +123,6 @@ func main() {
 			GracePeriod:     *grace,
 			Clock:           clk,
 			Policy:          policy,
-			Metrics:         func(int) *metrics.Recorder { return newRecorder() },
 			Obs:             reg,
 		})
 		d = transport.NewFederatedServer(fed)
@@ -162,7 +139,6 @@ func main() {
 			GracePeriod:     *grace,
 			Clock:           clk,
 			Policy:          policy,
-			Metrics:         newRecorder(),
 			Obs:             reg,
 		})
 		d = transport.NewServer(srv)

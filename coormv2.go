@@ -28,8 +28,8 @@
 //	    Type: coormv2.NonPreempt})
 //	sim.Engine.RunAll()
 //
-// See examples/ for complete programs, DESIGN.md for the system inventory
-// and EXPERIMENTS.md for the paper-versus-measured results.
+// See examples/ for complete programs, README.md for the package map and
+// PERFORMANCE.md for the measured numbers.
 package coormv2
 
 import (

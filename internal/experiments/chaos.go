@@ -288,8 +288,7 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 		clusters[federatedCluster(i)] = cfg.NodesPerShard
 	}
 	clientRec := metrics.NewRecorder()
-	fedRec := metrics.NewRecorder()
-	recs := []*metrics.Recorder{clientRec, fedRec}
+	recs := []*metrics.Recorder{clientRec}
 	var scheduling func(int) core.SchedulingPolicy
 	if cfg.Tenants != nil {
 		scheduling = func(int) core.SchedulingPolicy { return tenants.NewDRF(cfg.Tenants) }
@@ -308,29 +307,12 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 			recs = append(recs, r)
 			return r
 		},
-		FederationMetrics: fedRec,
-		Obs:               cfg.Obs,
+		Obs: cfg.Obs,
 	})
 	if fed.NumShards() != cfg.Shards {
 		return nil, fmt.Errorf("experiments: federation clamped to %d shards", fed.NumShards())
 	}
 	agg := metrics.NewAggregate(recs...)
-
-	if cfg.Obs != nil {
-		// Recorder totals (allocation area, waste, fault counters, …) summed
-		// over every application across all recorders — the shard-local
-		// recorders created above are appended to recs as shards come up, and
-		// the closure reads the live slice at snapshot time.
-		cfg.Obs.RegisterCounters("metrics", func() map[string]int64 {
-			tot := make(map[string]int64)
-			for _, r := range recs {
-				for k, v := range r.Totals() {
-					tot[k] += v
-				}
-			}
-			return tot
-		})
-	}
 
 	inj := chaos.NewInjector(e, fed, chaos.Plan(cfg.Chaos, cfg.Shards))
 	inj.CheckAfterFault = true
@@ -511,16 +493,20 @@ func RunChaosReplay(cfg ChaosReplayConfig) (*ChaosReplayResult, error) {
 			res.ShardChurn[i] += l.Churn
 		}
 	}
-	res.KilledSessions = agg.TotalCount(metrics.KilledSessions)
-	res.RequeuedRequests = agg.TotalCount(metrics.RequeuedRequests)
-	res.ReplayedRequests = agg.TotalCount(metrics.ReplayedRequests)
-	res.DroppedRequests = agg.TotalCount(metrics.DroppedRequests)
-	res.NodeKilled = agg.TotalCount(metrics.NodeKilledRequests)
-	res.NodeRequeued = agg.TotalCount(metrics.NodeRequeuedRequests)
-	res.NodeReduced = agg.TotalCount(metrics.NodeReducedRequests)
-	res.GangsCommitted = agg.TotalCount(metrics.GangCommitted)
-	res.GangsAborted = agg.TotalCount(metrics.GangAborted)
-	res.GangsRetried = agg.TotalCount(metrics.GangRetried)
+	rs := fed.RecoveryStats()
+	res.KilledSessions = int(rs.KilledSessions)
+	res.RequeuedRequests = int(rs.RequeuedRequests)
+	res.ReplayedRequests = int(rs.ReplayedRequests)
+	res.DroppedRequests = int(rs.DroppedRequests)
+	res.GangsCommitted = int(rs.GangsCommitted)
+	res.GangsAborted = int(rs.GangsAborted)
+	res.GangsRetried = int(rs.GangsRetried)
+	for i := 0; i < cfg.Shards; i++ {
+		st := fed.Shard(i).Stats()
+		res.NodeKilled += int(st.NodeKilledRequests)
+		res.NodeRequeued += int(st.NodeRequeuedRequests)
+		res.NodeReduced += int(st.NodeReducedRequests)
+	}
 	if cfg.Tenants != nil {
 		res.TenantPreempts = fed.TenantPreempts()
 	}

@@ -75,7 +75,9 @@ func TestObsSnapshotDeterministic(t *testing.T) {
 // TestObsSnapshotCoverage checks that the chaos replay actually exercises
 // every advertised recording point: the snapshot must carry non-empty wait,
 // round, reap, merge, outage and node-repair histograms, the sched/merge/
-// metrics counter groups, and crash/restart/node events in the ring.
+// recovery/rms counter groups, and crash/restart/node events in the ring.
+// The counter groups are the only source of the result's fault counts, so
+// the snapshot, summed over shards, must agree with them.
 func TestObsSnapshotCoverage(t *testing.T) {
 	reg := obs.NewRegistry()
 	res, err := RunChaosReplay(obsChaosConfig(42, reg))
@@ -100,7 +102,7 @@ func TestObsSnapshotCoverage(t *testing.T) {
 			t.Errorf("histogram %q recorded nothing", h)
 		}
 	}
-	wantCounterPrefixes := []string{"shard0.sched.", "fed.merge.", "metrics."}
+	wantCounterPrefixes := []string{"shard0.sched.", "fed.merge.", "fed.recovery.", "shard0.rms."}
 	for _, p := range wantCounterPrefixes {
 		found := false
 		for k := range snap.Counters {
@@ -111,6 +113,31 @@ func TestObsSnapshotCoverage(t *testing.T) {
 		}
 		if !found {
 			t.Errorf("no counter with prefix %q in snapshot", p)
+		}
+	}
+	shardSum := func(key string) int {
+		n := int64(0)
+		for k, v := range snap.Counters {
+			if strings.HasPrefix(k, "shard") && strings.HasSuffix(k, ".rms."+key) {
+				n += v
+			}
+		}
+		return int(n)
+	}
+	for _, c := range []struct {
+		key       string
+		snap, res int
+	}{
+		{"fed.recovery.killed_sessions", int(snap.Counters["fed.recovery.killed_sessions"]), res.KilledSessions},
+		{"fed.recovery.requeued_requests", int(snap.Counters["fed.recovery.requeued_requests"]), res.RequeuedRequests},
+		{"fed.recovery.replayed_requests", int(snap.Counters["fed.recovery.replayed_requests"]), res.ReplayedRequests},
+		{"fed.recovery.dropped_requests", int(snap.Counters["fed.recovery.dropped_requests"]), res.DroppedRequests},
+		{"shard*.rms.node_killed_requests", shardSum("node_killed_requests"), res.NodeKilled},
+		{"shard*.rms.node_requeued_requests", shardSum("node_requeued_requests"), res.NodeRequeued},
+		{"shard*.rms.node_reduced_requests", shardSum("node_reduced_requests"), res.NodeReduced},
+	} {
+		if c.snap != c.res {
+			t.Errorf("snapshot %s = %d, result reports %d", c.key, c.snap, c.res)
 		}
 	}
 	types := make(map[string]int)

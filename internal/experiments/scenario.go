@@ -1,7 +1,7 @@
 // Package experiments reproduces the paper's evaluation (§5): every figure
 // with quantitative content has a runner that regenerates its data from the
-// discrete-event simulation. The per-experiment index lives in DESIGN.md;
-// measured-vs-paper numbers live in EXPERIMENTS.md.
+// discrete-event simulation. README.md ("Figure pipeline") shows how to run
+// them.
 package experiments
 
 import (

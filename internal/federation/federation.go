@@ -118,11 +118,6 @@ type Config struct {
 	// NodeRecovery selects the per-request node-failure recovery policy,
 	// applied uniformly by every shard (default: KillOnNodeFailure).
 	NodeRecovery rms.NodeRecoveryPolicy
-	// FederationMetrics, when non-nil, receives the fault-recovery counters
-	// (killed sessions, requeued/replayed/dropped requests) keyed by
-	// federated application ID. It must be a recorder of its own, not one of
-	// the per-shard recorders.
-	FederationMetrics *metrics.Recorder
 	// FullRecompute disables incremental scheduling on every shard (each
 	// round recomputes from scratch). The chaos×migration differential test
 	// pins the two modes byte-identical; production leaves it off.
@@ -149,7 +144,6 @@ type Federator struct {
 	clk          clock.Clock
 	recovery     RecoveryPolicy
 	nodeRecovery rms.NodeRecoveryPolicy
-	fedRec       *metrics.Recorder
 
 	// topoMu serializes topology transitions — CrashShard, RestartShard and
 	// MigrateCluster — against each other, so a migration can never observe a
@@ -182,6 +176,10 @@ type Federator struct {
 	remergedShards atomic.Int64
 	cleanShards    atomic.Int64
 
+	// stats counts crash recovery, migration and gang events (atomics:
+	// they are recorded under topoMu or a session lock).
+	stats recoveryStats
+
 	// Observability (nil when Config.Obs is nil). crashedAt remembers each
 	// shard's last crash instant so RestartShard can record the outage
 	// duration (sim seconds under SimClock — deterministic — and wall
@@ -201,16 +199,10 @@ type Federator struct {
 }
 
 // noteMerge records one merged-view delivery in which `dirty` of `total`
-// shard views carried an advanced epoch. When federation metrics are
-// enabled the split surfaces as RemergedShardViews/ReusedShardViews under
-// the pseudo-app 0.
+// shard views carried an advanced epoch.
 func (f *Federator) noteMerge(dirty, total int) {
 	f.remergedShards.Add(int64(dirty))
 	f.cleanShards.Add(int64(total - dirty))
-	if f.fedRec != nil {
-		f.fedRec.IncCounter(0, metrics.RemergedShardViews, dirty)
-		f.fedRec.IncCounter(0, metrics.ReusedShardViews, total-dirty)
-	}
 }
 
 // MergeStats returns the cumulative merge counters: shard views that were
@@ -219,6 +211,56 @@ func (f *Federator) noteMerge(dirty, total int) {
 // served from cache with no work at all.
 func (f *Federator) MergeStats() (dirty, clean int64) {
 	return f.remergedShards.Load(), f.cleanShards.Load()
+}
+
+// RecoveryStats are the federation's cumulative recovery, migration and
+// gang counters, exported through Federator.RecoveryStats and the
+// "fed.recovery" obs counter group.
+type RecoveryStats struct {
+	KilledSessions   int64 // sessions killed by a shard crash (§3.1.4)
+	RequeuedRequests int64 // requests queued for replay by a crash or a down shard
+	ReplayedRequests int64 // queued requests re-submitted to a restarted shard
+	DroppedRequests  int64 // queued or gang requests that never reached a shard
+	MigratedClusters int64 // live cluster migrations
+	GangsCommitted   int64 // cross-shard reservations converted into requests
+	GangsAborted     int64 // reservations abandoned after their retry budget
+	GangsRetried     int64 // hold re-placements after an abort or crash
+}
+
+// Map flattens the counters into an obs counter group.
+func (st RecoveryStats) Map() map[string]int64 {
+	return map[string]int64{
+		"killed_sessions":   st.KilledSessions,
+		"requeued_requests": st.RequeuedRequests,
+		"replayed_requests": st.ReplayedRequests,
+		"dropped_requests":  st.DroppedRequests,
+		"migrated_clusters": st.MigratedClusters,
+		"gang_committed":    st.GangsCommitted,
+		"gang_aborted":      st.GangsAborted,
+		"gang_retried":      st.GangsRetried,
+	}
+}
+
+type recoveryStats struct {
+	killedSessions, requeued, replayed, dropped atomic.Int64
+	migratedClusters                            atomic.Int64
+	gangsCommitted, gangsAborted, gangsRetried  atomic.Int64
+}
+
+// RecoveryStats returns the cumulative recovery, migration and gang
+// counters.
+func (f *Federator) RecoveryStats() RecoveryStats {
+	st := &f.stats
+	return RecoveryStats{
+		KilledSessions:   st.killedSessions.Load(),
+		RequeuedRequests: st.requeued.Load(),
+		ReplayedRequests: st.replayed.Load(),
+		DroppedRequests:  st.dropped.Load(),
+		MigratedClusters: st.migratedClusters.Load(),
+		GangsCommitted:   st.gangsCommitted.Load(),
+		GangsAborted:     st.gangsAborted.Load(),
+		GangsRetried:     st.gangsRetried.Load(),
+	}
 }
 
 // Partition splits a cluster set into at most n per-shard cluster sets,
@@ -266,7 +308,6 @@ func New(cfg Config) *Federator {
 		clk:          cfg.Clock,
 		recovery:     cfg.Recovery,
 		nodeRecovery: cfg.NodeRecovery,
-		fedRec:       cfg.FederationMetrics,
 		down:         make([]bool, len(parts)),
 		sessions:     make(map[int]*Session),
 		failedNodes:  make(map[view.ClusterID][]int),
@@ -287,6 +328,9 @@ func New(cfg Config) *Federator {
 		cfg.Obs.RegisterCounters("fed.merge", func() map[string]int64 {
 			dirty, clean := f.MergeStats()
 			return map[string]int64{"remerged_shard_views": dirty, "reused_shard_views": clean}
+		})
+		cfg.Obs.RegisterCounters("fed.recovery", func() map[string]int64 {
+			return f.RecoveryStats().Map()
 		})
 	}
 	for i, part := range parts {
@@ -470,13 +514,6 @@ func (f *Federator) sessionsLocked() []*Session {
 	return out
 }
 
-// count records a fault-recovery event when federation metrics are enabled.
-func (f *Federator) count(appID int, c metrics.Counter, n int) {
-	if f.fedRec != nil && n > 0 {
-		f.fedRec.IncCounter(appID, c, n)
-	}
-}
-
 // ShardDown reports whether shard i is currently crashed.
 func (f *Federator) ShardDown(i int) bool {
 	f.mu.Lock()
@@ -574,16 +611,16 @@ func (f *Federator) CrashShard(i int) CrashReport {
 		rep.Requeued += requeued
 		rep.Purged += purged
 		rep.GangsAborted += gangsAborted
-		f.count(sess.id, metrics.RequeuedRequests, requeued)
-		f.count(0, metrics.GangAborted, gangsAborted)
-		f.count(sess.id, metrics.DroppedRequests, gangsAborted)
+		f.stats.requeued.Add(int64(requeued))
+		f.stats.gangsAborted.Add(int64(gangsAborted))
+		f.stats.dropped.Add(int64(gangsAborted))
 		if len(reaped) > 0 {
 			notices[sess] = purgeNotice{ended, reaped}
 		}
 		if affected && f.recovery == KillOnCrash {
 			killed = append(killed, sess)
 			rep.Killed = append(rep.Killed, sess.id)
-			f.count(sess.id, metrics.KilledSessions, 1)
+			f.stats.killedSessions.Add(1)
 		}
 	}
 	// Deliver outcomes with no federation lock held: finish/reap events for
@@ -647,8 +684,8 @@ func (f *Federator) RestartShard(i int) RestartReport {
 		replayed, dropped := sess.replayQueue(i)
 		rep.Replayed += replayed
 		rep.Dropped += dropped
-		f.count(sess.id, metrics.ReplayedRequests, replayed)
-		f.count(sess.id, metrics.DroppedRequests, dropped)
+		f.stats.replayed.Add(int64(replayed))
+		f.stats.dropped.Add(int64(dropped))
 	}
 	return rep
 }

@@ -13,8 +13,7 @@ import (
 //
 // Load is observed per cluster through rms.Server.ClusterLoads: the score of
 // a cluster over one check interval is its request churn delta (accepted
-// request() operations since the last check — the counter also surfaces in
-// the metrics registry as metrics.ChurnRequests) plus its firm pool
+// request() operations since the last check) plus its firm pool
 // occupancy (node IDs held by non-preemptible allocations; preemptible
 // holdings are reclaimable and would mask skew under scavenger PSAs that
 // fill every idle node); a shard's score is the sum over its clusters. When the

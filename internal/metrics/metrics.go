@@ -8,7 +8,6 @@
 package metrics
 
 import (
-	"fmt"
 	"sort"
 	"sync"
 )
@@ -32,124 +31,6 @@ type appTrack struct {
 	preArea  float64 // integral of pre-allocated nodes
 	waste    float64 // node·seconds lost (killed preemptible tasks)
 	maxAlloc int
-	counts   [numCounters]int // fault-recovery event counters
-}
-
-// Counter identifies a fault-recovery event counter. The federation layer
-// records them when a scheduler shard crashes or restarts
-// (internal/federation, internal/chaos).
-type Counter uint8
-
-const (
-	// KilledSessions counts sessions killed because the shard holding their
-	// scheduler-side state crashed (§3.1.4 semantics).
-	KilledSessions Counter = iota
-	// RequeuedRequests counts live requests moved to a replay queue when
-	// their shard crashed (or submitted while it was down).
-	RequeuedRequests
-	// ReplayedRequests counts queued requests successfully re-submitted to a
-	// restarted shard.
-	ReplayedRequests
-	// DroppedRequests counts queued requests that never made it back onto a
-	// shard: done() while queued, a failed replay, or an unresolvable
-	// relation after the crash.
-	DroppedRequests
-	// ChurnRequests counts accepted request() operations. Recorded by the RMS
-	// per application; summed over a shard recorder it is the shard's request
-	// churn, one of the two load signals the federation rebalancer acts on
-	// (the other is pool occupancy, see TotalCurrent).
-	ChurnRequests
-	// MigratedRequests counts request mappings handed over to another shard
-	// by a live cluster migration (internal/federation.MigrateCluster).
-	MigratedRequests
-	// MigratedClusters counts live cluster migrations. The federation records
-	// it under application ID 0 — the pseudo-app standing for the federation
-	// itself, since a migration is not attributable to one application.
-	MigratedClusters
-	// RemergedShardViews counts shard views whose epoch had advanced when a
-	// session's merged view was delivered (the dirty views that forced a
-	// merge); ReusedShardViews counts shard views whose epoch had not. A
-	// delivery with no dirty views is served from the merge cache with no
-	// work; one with any dirty view rebuilds the union, so the split
-	// measures update locality across the fleet. Federation-level counters
-	// (pseudo-app 0) for the epoch-cached view merge.
-	RemergedShardViews
-	ReusedShardViews
-	// FailedNodes / RecoveredNodes count individual node failures and
-	// recoveries injected into a cluster (internal/rms.FailNodes and
-	// RecoverNodes). Recorded under pseudo-app 0: a machine dying is not
-	// attributable to one application.
-	FailedNodes
-	RecoveredNodes
-	// NodeKilledRequests counts started requests terminated because a node
-	// they held died under the kill policy (§3.1.4 applied per request);
-	// NodeRequeuedRequests counts requests reset to pending for a full
-	// re-run; NodeReducedRequests counts requests that kept running on
-	// their surviving nodes under the cooperative policy (the application
-	// was notified and chose checkpoint/resubmit behaviour itself).
-	NodeKilledRequests
-	NodeRequeuedRequests
-	NodeReducedRequests
-	// GangCommitted / GangAborted / GangRetried count cross-shard two-phase
-	// reservations (internal/federation gang coordinator): gangs whose hold
-	// converted into a real request, reservations abandoned after exhausting
-	// their alignment/retry budget, and hold re-placements after an abort or
-	// crash. Recorded under pseudo-app 0 — a reservation spans shards and is
-	// a federation-level event.
-	GangCommitted
-	GangAborted
-	GangRetried
-	// PreemptedRequests counts started preemptible requests revoked by
-	// quota preemption: a scheduling policy (internal/tenants DRF)
-	// nominated them to relieve a starved guaranteed queue, and the RMS
-	// terminated them and reclaimed their nodes.
-	PreemptedRequests
-
-	numCounters
-)
-
-// String names the counter for reports.
-func (c Counter) String() string {
-	switch c {
-	case KilledSessions:
-		return "killed-sessions"
-	case RequeuedRequests:
-		return "requeued-requests"
-	case ReplayedRequests:
-		return "replayed-requests"
-	case DroppedRequests:
-		return "dropped-requests"
-	case ChurnRequests:
-		return "churn-requests"
-	case MigratedRequests:
-		return "migrated-requests"
-	case MigratedClusters:
-		return "migrated-clusters"
-	case RemergedShardViews:
-		return "remerged-shard-views"
-	case ReusedShardViews:
-		return "reused-shard-views"
-	case FailedNodes:
-		return "failed-nodes"
-	case RecoveredNodes:
-		return "recovered-nodes"
-	case NodeKilledRequests:
-		return "node-killed-requests"
-	case NodeRequeuedRequests:
-		return "node-requeued-requests"
-	case NodeReducedRequests:
-		return "node-reduced-requests"
-	case GangCommitted:
-		return "gang-committed"
-	case GangAborted:
-		return "gang-aborted"
-	case GangRetried:
-		return "gang-retried"
-	case PreemptedRequests:
-		return "preempted-requests"
-	default:
-		return fmt.Sprintf("Counter(%d)", uint8(c))
-	}
 }
 
 // NewRecorder returns an empty recorder.
@@ -164,6 +45,16 @@ func (r *Recorder) track(appID int) *appTrack {
 		r.apps[appID] = tr
 	}
 	return tr
+}
+
+// peek returns appID's track for a read. An application with no recorded
+// activity gets a fresh zero track that is not inserted, so reads never
+// make it show up in Apps or Report.
+func (r *Recorder) peek(appID int) *appTrack {
+	if tr, ok := r.apps[appID]; ok {
+		return tr
+	}
+	return &appTrack{}
 }
 
 // advance integrates the running counters up to time t. An out-of-order
@@ -214,59 +105,11 @@ func (r *Recorder) AddWaste(appID int, nodeSeconds float64) {
 	r.track(appID).waste += nodeSeconds
 }
 
-// IncCounter adds n occurrences of a fault-recovery event for appID.
-func (r *Recorder) IncCounter(appID int, c Counter, n int) {
-	if c >= numCounters {
-		panic(fmt.Sprintf("metrics: unknown counter %d", c))
-	}
-	if n < 0 {
-		panic("metrics: negative counter increment")
-	}
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	r.track(appID).counts[c] += n
-}
-
-// Count returns the number of recorded occurrences of c for appID.
-func (r *Recorder) Count(appID int, c Counter) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.track(appID).counts[c]
-}
-
-// TotalCount returns the occurrences of c summed over all applications.
-func (r *Recorder) TotalCount(c Counter) int {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	s := 0
-	for _, tr := range r.apps {
-		s += tr.counts[c]
-	}
-	return s
-}
-
-// Totals returns every fault-recovery counter summed over all
-// applications, keyed by Counter.String() — the shape an obs registry
-// counter source expects.
-func (r *Recorder) Totals() map[string]int64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	out := make(map[string]int64, int(numCounters))
-	for c := Counter(0); c < numCounters; c++ {
-		s := int64(0)
-		for _, tr := range r.apps {
-			s += int64(tr.counts[c])
-		}
-		out[c.String()] = s
-	}
-	return out
-}
-
 // Area returns the node·seconds consumed by appID up to time t.
 func (r *Recorder) Area(appID int, t float64) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tr := r.track(appID)
+	tr := r.peek(appID)
 	tr.advance(t)
 	return tr.area
 }
@@ -275,7 +118,7 @@ func (r *Recorder) Area(appID int, t float64) float64 {
 func (r *Recorder) PreAllocArea(appID int, t float64) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	tr := r.track(appID)
+	tr := r.peek(appID)
 	tr.advance(t)
 	return tr.preArea
 }
@@ -284,21 +127,21 @@ func (r *Recorder) PreAllocArea(appID int, t float64) float64 {
 func (r *Recorder) Waste(appID int) float64 {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.track(appID).waste
+	return r.peek(appID).waste
 }
 
 // MaxAlloc returns the peak allocation observed for appID.
 func (r *Recorder) MaxAlloc(appID int) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.track(appID).maxAlloc
+	return r.peek(appID).maxAlloc
 }
 
 // Current returns the allocation of appID as of the last SetAlloc.
 func (r *Recorder) Current(appID int) int {
 	r.mu.Lock()
 	defer r.mu.Unlock()
-	return r.track(appID).cur
+	return r.peek(appID).cur
 }
 
 // TotalCurrent returns the allocation summed over all applications as of
@@ -455,25 +298,6 @@ func (a *Aggregate) TotalWaste() float64 {
 	s := 0.0
 	for _, r := range a.recs {
 		s += r.TotalWaste()
-	}
-	return s
-}
-
-// Count returns the occurrences of c for appID across all recorders.
-func (a *Aggregate) Count(appID int, c Counter) int {
-	s := 0
-	for _, r := range a.recs {
-		s += r.Count(appID, c)
-	}
-	return s
-}
-
-// TotalCount returns the occurrences of c across all recorders and
-// applications.
-func (a *Aggregate) TotalCount(c Counter) int {
-	s := 0
-	for _, r := range a.recs {
-		s += r.TotalCount(c)
 	}
 	return s
 }

@@ -63,20 +63,6 @@ func TestTimeBackwardsClamped(t *testing.T) {
 	}
 }
 
-func TestTotals(t *testing.T) {
-	r := NewRecorder()
-	r.IncCounter(1, ChurnRequests, 3)
-	r.IncCounter(2, ChurnRequests, 4)
-	r.IncCounter(2, KilledSessions, 1)
-	tot := r.Totals()
-	if len(tot) != int(numCounters) {
-		t.Fatalf("Totals has %d keys, want %d", len(tot), numCounters)
-	}
-	if tot["churn-requests"] != 7 || tot["killed-sessions"] != 1 || tot["dropped-requests"] != 0 {
-		t.Errorf("Totals = %v", tot)
-	}
-}
-
 func TestPreAllocArea(t *testing.T) {
 	r := NewRecorder()
 	r.SetPreAlloc(1, 0, 8)
@@ -176,8 +162,15 @@ func TestAppsAndReport(t *testing.T) {
 
 func TestUnknownAppZeroes(t *testing.T) {
 	r := NewRecorder()
-	if r.Area(42, 10) != 0 || r.Waste(42) != 0 || r.MaxAlloc(42) != 0 {
+	if r.Area(42, 10) != 0 || r.PreAllocArea(43, 10) != 0 || r.Waste(44) != 0 ||
+		r.MaxAlloc(45) != 0 || r.Current(46) != 0 {
 		t.Error("unknown app should read as zero")
+	}
+	if NewAggregate(r, NewRecorder()).Area(5, 1) != 0 {
+		t.Error("unknown app should read as zero across an aggregate")
+	}
+	if apps := r.Apps(); len(apps) != 0 {
+		t.Errorf("reads created phantom apps %v", apps)
 	}
 }
 

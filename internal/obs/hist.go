@@ -1,7 +1,7 @@
 // Package obs is the observability substrate: streaming log-bucketed
 // latency histograms, a bounded structured event ring, and a registry
-// that unifies the repo's scattered counters (core.SchedStats,
-// federation.MergeStats, metrics.Counter) behind one Snapshot with
+// that unifies the repo's counter groups (core.SchedStats, rms.Stats,
+// federation.MergeStats and RecoveryStats) behind one Snapshot with
 // stable JSON and Prometheus text encodings.
 //
 // Everything here is designed to stay out of the allocation-lean hot

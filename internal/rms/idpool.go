@@ -15,10 +15,6 @@ var debugPoolPanics = false
 // SetPoolDebugPanics toggles fail-stop pool accounting. It is not
 // synchronized: set it before creating servers (tests do this in TestMain or
 // at the top of a sequential test).
-//
-// Deprecated: prefer Config.PoolDebugPanics / WithPoolDebugPanics, which
-// set the same switch at server construction. This global setter is kept
-// for tests toggling it mid-process.
 func SetPoolDebugPanics(on bool) { debugPoolPanics = on }
 
 // poolError reports a node-ID pool accounting violation. The server boundary

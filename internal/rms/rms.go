@@ -112,11 +112,6 @@ type Config struct {
 	// started preemptible allocations are terminated and their nodes
 	// reclaimed for the starved queue.
 	Scheduling core.SchedulingPolicy
-	// PoolDebugPanics turns node-ID pool accounting violations into
-	// panics at construction (fail-stop debugging). The underlying switch
-	// is process-global — it stays on for every pool once some server set
-	// it — which is acceptable for its debug-only purpose.
-	PoolDebugPanics bool
 }
 
 // Server is a CooRMv2 RMS instance.
@@ -174,6 +169,10 @@ type Server struct {
 	// operation fails until Reset.
 	stopped bool
 
+	// stats are the cumulative event counters behind Stats. Counted under
+	// mu and kept out of initStateLocked, so they survive Reset.
+	stats Stats
+
 	// Observability (nil when Config.Obs is nil). Histogram pointers are
 	// cached at construction so hot paths record through one nil check and
 	// zero map lookups; obsPrevRecomputed turns the scheduler's cumulative
@@ -224,9 +223,6 @@ func NewServer(cfg Config) *Server {
 	if cfg.GracePeriod <= 0 {
 		cfg.GracePeriod = 5 * cfg.ReschedInterval
 	}
-	if cfg.PoolDebugPanics {
-		SetPoolDebugPanics(true)
-	}
 	s := &Server{cfg: cfg, clk: cfg.Clock, tenantPreempts: make(map[string]int64)}
 	s.initObs()
 	s.initStateLocked()
@@ -254,6 +250,9 @@ func (s *Server) initObs() {
 	s.hReap = s.obs.Hist(prefix + "rms.reap_lag_seconds")
 	s.obs.RegisterCounters(prefix+"sched", func() map[string]int64 {
 		return s.SchedStats().Map()
+	})
+	s.obs.RegisterCounters(prefix+"rms", func() map[string]int64 {
+		return s.Stats().Map()
 	})
 	if s.cfg.Scheduling != nil {
 		s.obs.RegisterCounters(prefix+"tenants", func() map[string]int64 {
@@ -399,6 +398,41 @@ func (s *Server) SchedStats() core.SchedStats {
 	s.mu.Lock()
 	defer s.mu.Unlock()
 	return s.sched.Stats()
+}
+
+// Stats are a server's cumulative event counters, exported through
+// Server.Stats and the "<label>.rms" obs counter group.
+type Stats struct {
+	AcceptedRequests     int64 // accepted request() operations, holds included
+	MigratedRequests     int64 // requests handed over by AttachCluster
+	FailedNodes          int64 // machines taken down by FailNodes
+	RecoveredNodes       int64 // machines brought back by RecoverNodes
+	NodeKilledRequests   int64 // started requests killed by a node failure
+	NodeRequeuedRequests int64 // started requests reset to pending by one
+	NodeReducedRequests  int64 // started requests kept on their surviving nodes
+	PreemptedRequests    int64 // preemptible requests revoked by quota preemption
+}
+
+// Map flattens the counters into an obs counter group.
+func (st Stats) Map() map[string]int64 {
+	return map[string]int64{
+		"accepted_requests":      st.AcceptedRequests,
+		"migrated_requests":      st.MigratedRequests,
+		"failed_nodes":           st.FailedNodes,
+		"recovered_nodes":        st.RecoveredNodes,
+		"node_killed_requests":   st.NodeKilledRequests,
+		"node_requeued_requests": st.NodeRequeuedRequests,
+		"node_reduced_requests":  st.NodeReducedRequests,
+		"preempted_requests":     st.PreemptedRequests,
+	}
+}
+
+// Stats returns the server's cumulative event counters. They count across
+// Stop/Reset: a restarted shard carries on from its crashed predecessor.
+func (s *Server) Stats() Stats {
+	s.mu.Lock()
+	defer s.mu.Unlock()
+	return s.stats
 }
 
 // LoadEpoch returns the server's load-mutation epoch: it advances on every
@@ -653,9 +687,7 @@ func (sess *Session) RequestObserved(spec RequestSpec, observe func(request.ID))
 	sess.app.SetFor(spec.Type).Add(r)
 	s.touchLocked(sess.app.ID)
 	s.churn[spec.Cluster]++
-	if s.cfg.Metrics != nil {
-		s.cfg.Metrics.IncCounter(sess.app.ID, metrics.ChurnRequests, 1)
-	}
+	s.stats.AcceptedRequests++
 	if observe != nil {
 		observe(id)
 	}

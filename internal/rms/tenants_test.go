@@ -5,7 +5,6 @@ import (
 	"testing"
 
 	"coormv2/internal/clock"
-	"coormv2/internal/metrics"
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
 	"coormv2/internal/sim"
@@ -36,12 +35,13 @@ func TestQuotaPreemptionRecoversGuarantee(t *testing.T) {
 	tree.MustAdd("batch", nil, nil)
 
 	e := sim.NewEngine()
-	rec := metrics.NewRecorder()
 	reg := obs.NewRegistry()
-	s := NewServerWith(map[view.ClusterID]int{c0: 12}, clock.SimClock{E: e},
-		WithScheduling(tenants.NewDRF(tree)),
-		WithMetrics(rec),
-		WithObs(reg, ""))
+	s := NewServer(Config{
+		Clusters:   map[view.ClusterID]int{c0: 12},
+		Clock:      clock.SimClock{E: e},
+		Scheduling: tenants.NewDRF(tree),
+		Obs:        reg,
+	})
 
 	var batch [2]*finishWatcher
 	for i := range batch {
@@ -84,7 +84,7 @@ func TestQuotaPreemptionRecoversGuarantee(t *testing.T) {
 	}
 	// The revocations were real terminations, visible everywhere: the
 	// applications heard OnRequestFinished, the per-tenant counter and the
-	// metrics counter advanced, and the event trace carries EvPreempt.
+	// server counter advanced, and the event trace carries EvPreempt.
 	revoked := len(batch[0].finished) + len(batch[1].finished)
 	if revoked == 0 {
 		t.Fatal("no batch request was revoked")
@@ -92,8 +92,8 @@ func TestQuotaPreemptionRecoversGuarantee(t *testing.T) {
 	if got := s.TenantPreempts()["batch"]; got != int64(revoked) {
 		t.Fatalf("TenantPreempts[batch] = %d, want %d", got, revoked)
 	}
-	if got := rec.TotalCount(metrics.PreemptedRequests); got != revoked {
-		t.Fatalf("metrics preempted-requests = %d, want %d", got, revoked)
+	if got := s.Stats().PreemptedRequests; got != int64(revoked) {
+		t.Fatalf("Stats().PreemptedRequests = %d, want %d", got, revoked)
 	}
 	events := 0
 	for _, ev := range reg.Events() {
