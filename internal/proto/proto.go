@@ -3,6 +3,17 @@
 // newline-delimited JSON. It mirrors the in-process interface of
 // internal/rms so that the same application code can run against the
 // simulator or against the TCP daemon.
+//
+// A views frame (MsgViews) carries only what changed, per connection:
+//   - it lists only the clusters whose profile changed since the previous
+//     views frame on the same connection (EncodeViewDelta);
+//   - a cluster that vanished is sent as the zero profile;
+//   - the first views frame on a connection is complete: it is the delta
+//     against an empty view, so a fresh connection and a resumed one (whose
+//     first views frame carries Replay) both start from a full view.
+//
+// A receiver keeps one view pair per connection and patches it with each
+// frame (PatchView).
 package proto
 
 import (
@@ -54,44 +65,90 @@ type StepJSON struct {
 type ViewJSON map[string][]StepJSON
 
 // EncodeView converts a view to its wire form.
-func EncodeView(v view.View) ViewJSON {
-	out := make(ViewJSON, len(v))
-	for _, cid := range v.Clusters() {
-		steps := v.Get(cid).Steps()
-		enc := make([]StepJSON, len(steps))
-		for i, s := range steps {
-			d := s.Duration
-			if math.IsInf(d, 1) {
-				d = infDuration
-			}
-			enc[i] = StepJSON{Duration: d, N: s.N}
+func EncodeView(v view.View) ViewJSON { return EncodeViewDelta(nil, v) }
+
+// EncodeViewDelta encodes what a peer holding prev needs to hold next: the
+// clusters whose profile differs, each with next's profile, or with the
+// zero profile when next lacks the cluster. A cluster absent from prev
+// always differs, so EncodeViewDelta(nil, v) encodes all of v. The result
+// is empty when nothing differs.
+func EncodeViewDelta(prev, next view.View) ViewJSON {
+	out := make(ViewJSON)
+	for cid, f := range next {
+		if g, ok := prev[cid]; !ok || !f.Equal(g) {
+			out[string(cid)] = encodeProfile(f)
 		}
-		out[string(cid)] = enc
+	}
+	for cid := range prev {
+		if _, ok := next[cid]; !ok {
+			out[string(cid)] = encodeProfile(stepfunc.Zero())
+		}
 	}
 	return out
 }
 
-// DecodeView converts a wire view back to the internal representation.
-func (vj ViewJSON) DecodeView() (view.View, error) {
-	out := view.New()
-	for cid, steps := range vj {
-		dec := make([]stepfunc.Step, len(steps))
-		for i, s := range steps {
-			d := s.Duration
-			if d == infDuration {
-				d = math.Inf(1)
-			}
-			if d < 0 {
-				return nil, fmt.Errorf("proto: invalid duration %v in view", s.Duration)
-			}
-			dec[i] = stepfunc.Step{Duration: d, N: s.N}
+// encodeProfile converts one profile to its wire steps.
+func encodeProfile(f *stepfunc.StepFunc) []StepJSON {
+	steps := f.Steps()
+	enc := make([]StepJSON, len(steps))
+	for i, s := range steps {
+		d := s.Duration
+		if math.IsInf(d, 1) {
+			d = infDuration
 		}
-		f := stepfunc.FromSteps(dec...)
-		if !f.IsZero() {
+		enc[i] = StepJSON{Duration: d, N: s.N}
+	}
+	return enc
+}
+
+// DecodeView converts a wire view back to the internal representation.
+// Zero profiles are dropped: a view lacking a cluster sees it as zero.
+func (vj ViewJSON) DecodeView() (view.View, error) { return vj.PatchView(nil) }
+
+// PatchView applies a delta (see EncodeViewDelta) to base, the view the
+// receiver held, and returns the view the sender holds: base with every
+// listed cluster replaced, or removed when its profile is zero. base is
+// not modified; the result shares its unchanged profiles, and is base
+// itself when the delta is empty (an empty view when base is nil).
+func (vj ViewJSON) PatchView(base view.View) (view.View, error) {
+	if len(vj) == 0 {
+		if base == nil {
+			return view.New(), nil
+		}
+		return base, nil
+	}
+	out := make(view.View, len(base)+len(vj))
+	for cid, f := range base {
+		out[cid] = f
+	}
+	for cid, steps := range vj {
+		f, err := decodeProfile(steps)
+		if err != nil {
+			return nil, err
+		}
+		if f.IsZero() {
+			delete(out, view.ClusterID(cid))
+		} else {
 			out[view.ClusterID(cid)] = f
 		}
 	}
 	return out, nil
+}
+
+// decodeProfile converts wire steps back to a profile.
+func decodeProfile(steps []StepJSON) (*stepfunc.StepFunc, error) {
+	dec := make([]stepfunc.Step, len(steps))
+	for i, s := range steps {
+		d := s.Duration
+		if d == infDuration {
+			d = math.Inf(1)
+		}
+		if d < 0 {
+			return nil, fmt.Errorf("proto: invalid duration %v in view", s.Duration)
+		}
+		dec[i] = stepfunc.Step{Duration: d, N: s.N}
+	}
+	return stepfunc.FromSteps(dec...), nil
 }
 
 // Message is the single frame type exchanged in both directions; Type
@@ -143,7 +200,8 @@ type Message struct {
 	// MsgStart
 	NodeIDs []int `json:"node_ids,omitempty"`
 
-	// MsgViews
+	// MsgViews: deltas against the previous views frame on the same
+	// connection (see the package comment); an empty delta is omitted.
 	NonPreemptView ViewJSON `json:"np_view,omitempty"`
 	PreemptView    ViewJSON `json:"p_view,omitempty"`
 

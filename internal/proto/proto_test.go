@@ -2,6 +2,7 @@ package proto
 
 import (
 	"math"
+	"reflect"
 	"strings"
 	"testing"
 
@@ -39,6 +40,51 @@ func TestViewDecodeRejectsBadDuration(t *testing.T) {
 	vj := ViewJSON{"a": []StepJSON{{Duration: -7, N: 3}}}
 	if _, err := vj.DecodeView(); err == nil {
 		t.Error("negative (non-sentinel) duration should be rejected")
+	}
+}
+
+// TestViewDeltaFrameRule pins the views-frame rule: a delta lists only the
+// clusters that changed, a vanished cluster as the zero profile, and the
+// delta against nothing is the complete view. Patching the receiver's view
+// with it reproduces the sender's, without touching the old view.
+func TestViewDeltaFrameRule(t *testing.T) {
+	prev := view.New().AddRect("a", 0, 3600, 4).AddRect("b", 0, math.Inf(1), 6).AddRect("c", 0, 10, 1)
+	next := prev.Clone()
+	next["a"] = prev["a"].AddRect(3600, 3600, 3) // changed
+	delete(next, "c")                            // vanished
+	next["d"] = prev["b"]                        // appeared
+
+	delta := EncodeViewDelta(prev, next)
+	if len(delta) != 3 || delta["b"] != nil {
+		t.Fatalf("delta lists %v, want exactly a, c and d", delta)
+	}
+	if zero := []StepJSON{{Duration: infDuration, N: 0}}; !reflect.DeepEqual(delta["c"], zero) {
+		t.Errorf("vanished cluster sent as %v, want the zero profile %v", delta["c"], zero)
+	}
+	if full := EncodeViewDelta(nil, next); !reflect.DeepEqual(full, EncodeView(next)) || len(full) != len(next) {
+		t.Errorf("delta against nothing = %v, want the complete view", full)
+	}
+	if len(EncodeViewDelta(next, next.Clone())) != 0 {
+		t.Error("an unchanged view must encode an empty delta")
+	}
+
+	before := prev.String()
+	got, err := delta.PatchView(prev)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !got.Equal(next) || len(got) != len(next) {
+		t.Errorf("patched view = %v, want %v", got, next)
+	}
+	if prev.String() != before {
+		t.Errorf("PatchView modified its base: %v, was %s", prev, before)
+	}
+	if same, _ := ViewJSON(nil).PatchView(got); reflect.ValueOf(same).Pointer() != reflect.ValueOf(got).Pointer() {
+		t.Error("an empty delta must return the base view itself")
+	}
+	bad := ViewJSON{"a": []StepJSON{{Duration: -7, N: 3}}}
+	if _, err := bad.PatchView(prev); err == nil {
+		t.Error("a malformed delta must be rejected")
 	}
 }
 

@@ -22,6 +22,7 @@ import (
 	"coormv2/internal/metrics"
 	"coormv2/internal/obs"
 	"coormv2/internal/request"
+	"coormv2/internal/stepfunc"
 	"coormv2/internal/view"
 )
 
@@ -155,9 +156,13 @@ type Server struct {
 	idScratch []int
 	idsOK     bool
 
-	// trimMemo memoizes per-round view trims by map identity (see
-	// pushViewsLocked); cleared at the start of every push pass.
-	trimMemo map[uintptr]view.View
+	// trimMemo and viewMemo live for one push pass (see pushViewsLocked)
+	// and are cleared at its end, so no profile outlives its round here.
+	// trimMemo maps an input profile to its trim; viewMemo maps an (input
+	// view, last pushed view) pair to the view built from them, so
+	// sessions the scheduler gives one view keep sharing one pushed view.
+	trimMemo map[*stepfunc.StepFunc]*stepfunc.StepFunc
+	viewMemo map[[2]uintptr]trimmedView
 
 	// loadEpoch counts load-relevant mutations (accepted requests, starts,
 	// finishes, frees, cluster attach/detach, restarts). A rebalancer can
@@ -1196,43 +1201,92 @@ func (s *Server) startRequestsLocked(outcome *core.Outcome, now float64) {
 // changed since the last push. Views are trimmed to [now, ∞): their values
 // in the past are reconstruction artifacts.
 //
-// The scheduler shares view maps across applications (idle applications in
-// a CBF run see one map; idle preemptible applications share the idle
-// grant), so the trim is memoized by map identity — each distinct map is
-// trimmed once per round, not once per session.
+// Most clusters do not change from one push to the next, so a trimmed view
+// is assembled from the session's last pushed one (see trimViewLocked): a
+// quiet round allocates nothing here.
 func (s *Server) pushViewsLocked(outcome *core.Outcome) {
 	now := s.clk.Now()
-	if s.trimMemo == nil {
-		s.trimMemo = make(map[uintptr]view.View)
-	}
-	clear(s.trimMemo)
-	trim := func(v view.View) view.View {
-		if v == nil {
-			return view.New()
-		}
-		key := reflect.ValueOf(v).Pointer()
-		if t, ok := s.trimMemo[key]; ok {
-			return t
-		}
-		t := v.TrimBefore(now)
-		s.trimMemo[key] = t
-		return t
-	}
 	for _, id := range s.sessionIDsLocked() {
 		sess := s.sessions[id]
-		np := trim(outcome.NonPreemptViews[id])
-		p := trim(outcome.PreemptViews[id])
 		last, seen := s.lastViews[id]
+		np := s.trimViewLocked(outcome.NonPreemptViews[id], last[0], now)
+		p := s.trimViewLocked(outcome.PreemptViews[id], last[1], now)
 		if seen && last[0].Equal(np) && last[1].Equal(p) {
 			continue
 		}
 		s.lastViews[id] = [2]view.View{np, p}
 		h := sess.h
 		// Views are pushed without cloning: the OnViews contract makes them
-		// immutable to the handler, and sessions sharing a map (idle
-		// applications) share one trimmed object.
+		// immutable to the handler, so pushed views share profiles (and
+		// whole views) freely.
 		s.pending = append(s.pending, func() { h.OnViews(np, p) })
 	}
+	clear(s.trimMemo)
+	clear(s.viewMemo)
+}
+
+// trimmedView is a viewMemo entry. It keeps the key's views alive, so
+// their addresses cannot be reused within the pass.
+type trimmedView struct{ in, last, out view.View }
+
+// trimViewLocked returns a view Equal to in.TrimBefore(now), with the same
+// clusters. A profile whose trim equals the one in last (the view pushed
+// to the same session last time) is last's own pointer; when every profile
+// is, last itself is returned and nothing is allocated. Other profiles are
+// trimmed once per pass.
+func (s *Server) trimViewLocked(in, last view.View, now float64) view.View {
+	if last != nil && trimReusesAll(in, last, now) {
+		return last
+	}
+	if s.viewMemo == nil {
+		s.viewMemo = make(map[[2]uintptr]trimmedView)
+		s.trimMemo = make(map[*stepfunc.StepFunc]*stepfunc.StepFunc)
+	}
+	key := [2]uintptr{reflect.ValueOf(in).Pointer(), reflect.ValueOf(last).Pointer()}
+	if e, ok := s.viewMemo[key]; ok {
+		return e.out
+	}
+	out := make(view.View, len(in))
+	for cid, f := range in {
+		if trimDrops(f, now) {
+			continue
+		}
+		if l, ok := last[cid]; ok && f.TrimBeforeEqual(now, l) {
+			out[cid] = l
+			continue
+		}
+		g, ok := s.trimMemo[f]
+		if !ok {
+			g = f.TrimBefore(now)
+			s.trimMemo[f] = g
+		}
+		out[cid] = g
+	}
+	s.viewMemo[key] = trimmedView{in, last, out}
+	return out
+}
+
+// trimReusesAll reports whether in.TrimBefore(now) has exactly last's
+// clusters, each profile equal to last's.
+func trimReusesAll(in, last view.View, now float64) bool {
+	n := 0
+	for cid, f := range in {
+		if trimDrops(f, now) {
+			continue
+		}
+		l, ok := last[cid]
+		if !ok || !f.TrimBeforeEqual(now, l) {
+			return false
+		}
+		n++
+	}
+	return n == len(last)
+}
+
+// trimDrops reports whether view.TrimBefore(now) drops a cluster with
+// profile f: it does when trimming turns a nonzero profile into zero.
+func trimDrops(f *stepfunc.StepFunc, now float64) bool {
+	return !f.IsZero() && f.TrimBeforeEqual(now, stepfunc.Zero())
 }
 
 // enforcePreemptionLocked kills applications that keep holding more

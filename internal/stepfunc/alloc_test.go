@@ -306,3 +306,31 @@ func TestAllocsIdentityFastPaths(t *testing.T) {
 		}
 	}
 }
+
+// TestAllocsTrimBeforeEqualZero pins the trim-equality predicate at zero
+// allocations on every branch: no trim, a trim to zero, and a real trim
+// compared against an equal and an unequal profile.
+func TestAllocsTrimBeforeEqualZero(t *testing.T) {
+	f := FromSteps(Step{3600, 4}, Step{3600, 3}, Step{1800, 7})
+	trimmed := f.TrimBefore(4000)
+	cases := []struct {
+		name string
+		at   float64
+		g    *StepFunc
+		want bool
+	}{
+		{"no trim", 0, f, true},
+		{"on breakpoint", 3600, f.TrimBefore(3600), true},
+		{"trimmed equal", 4000, trimmed.Clone(), true},
+		{"trimmed unequal", 4000, f, false},
+		{"past the end", 10000, Zero(), true},
+	}
+	for _, c := range cases {
+		if got := f.TrimBeforeEqual(c.at, c.g); got != c.want {
+			t.Errorf("%s: TrimBeforeEqual = %v, want %v", c.name, got, c.want)
+		}
+		if got := testing.AllocsPerRun(100, func() { f.TrimBeforeEqual(c.at, c.g) }); got != 0 {
+			t.Errorf("%s: %v allocs/op, want 0", c.name, got)
+		}
+	}
+}

@@ -718,12 +718,8 @@ func (f *StepFunc) MaxValue() int {
 // past are reconstruction artifacts, not information. If nothing is
 // trimmed, f itself is returned.
 func (f *StepFunc) TrimBefore(t float64) *StepFunc {
-	if t <= 0 || len(f.pts) == 0 {
-		return f
-	}
-	i := sort.Search(len(f.pts), func(i int) bool { return f.pts[i].t > t })
-	// f.pts[i-1] covers t (i >= 1 because pts[0].t == 0 <= t).
-	if i == 1 {
+	i := f.trimIndex(t)
+	if i <= 1 {
 		return f // nothing before t to discard
 	}
 	tail := f.pts[i:]
@@ -735,6 +731,43 @@ func (f *StepFunc) TrimBefore(t float64) *StepFunc {
 	pts = append(pts, point{0, n0})
 	pts = append(pts, tail...) // tail[0].n != n0 by normalization of f
 	return &StepFunc{pts: pts}
+}
+
+// TrimBeforeEqual reports whether f.TrimBefore(t).Equal(g), without
+// building the trimmed function: it allocates nothing. The RMS uses it to
+// keep the profile it pushed last time when trimming would rebuild an
+// equal one.
+func (f *StepFunc) TrimBeforeEqual(t float64, g *StepFunc) bool {
+	i := f.trimIndex(t)
+	if i <= 1 {
+		return f.Equal(g)
+	}
+	// The trimmed function is {0, f.pts[i-1].n} followed by f.pts[i:];
+	// it is the zero function exactly when that is the single point {0, 0}.
+	tail := f.pts[i:]
+	n0 := f.pts[i-1].n
+	if len(tail) == 0 && n0 == 0 {
+		return len(g.pts) == 0
+	}
+	if len(g.pts) != 1+len(tail) || g.pts[0] != (point{0, n0}) {
+		return false
+	}
+	for k, p := range tail {
+		if g.pts[k+1] != p {
+			return false
+		}
+	}
+	return true
+}
+
+// trimIndex returns the index of the first point after t, so f.pts[i-1]
+// covers t; 0 when t <= 0 or f is zero, where TrimBefore has nothing to do.
+func (f *StepFunc) trimIndex(t float64) int {
+	if t <= 0 || len(f.pts) == 0 {
+		return 0
+	}
+	// i >= 1 because pts[0].t == 0 <= t.
+	return sort.Search(len(f.pts), func(i int) bool { return f.pts[i].t > t })
 }
 
 // Steps returns the function as the paper's list of (duration, node-count)

@@ -323,6 +323,42 @@ func TestTrimBefore(t *testing.T) {
 	}
 }
 
+// TestTrimBeforeEqualMatchesTrim checks the allocation-free predicate
+// against its definition, f.TrimBefore(t).Equal(g), on random profiles.
+// Times cover 0, every breakpoint exactly, the midpoints between them and
+// a time past the last breakpoint; candidates cover the true trim (and a
+// copy of it), f itself, the zero function, other trims of f and an
+// unrelated profile.
+func TestTrimBeforeEqualMatchesTrim(t *testing.T) {
+	r := rand.New(rand.NewSource(29))
+	for iter := 0; iter < 2000; iter++ {
+		f, other := randProfile(r), randProfile(r)
+		bps := f.Breakpoints()
+		last := bps[len(bps)-1]
+		times := []float64{0, last + 1 + float64(r.Intn(100))}
+		for i, bp := range bps {
+			times = append(times, bp)
+			if i+1 < len(bps) {
+				times = append(times, (bp+bps[i+1])/2)
+			}
+		}
+		var trims []*StepFunc
+		for _, at := range times {
+			trims = append(trims, f.TrimBefore(at))
+		}
+		for _, at := range times {
+			want := f.TrimBefore(at)
+			cands := append([]*StepFunc{want, want.Clone(), f, Zero(), other}, trims...)
+			for _, g := range cands {
+				if got, exp := f.TrimBeforeEqual(at, g), want.Equal(g); got != exp {
+					t.Fatalf("iter %d: TrimBeforeEqual(%v, %v) = %v, want %v (f=%v)",
+						iter, at, g, got, exp, f)
+				}
+			}
+		}
+	}
+}
+
 func TestStepsRoundTrip(t *testing.T) {
 	f := FromSteps(Step{3600, 4}, Step{3600, 3})
 	back := FromSteps(f.Steps()...)

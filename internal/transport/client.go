@@ -545,6 +545,10 @@ func (c *Client) heartbeatLoop() {
 
 // readLoop pumps one connection until it dies or the session ends.
 func (c *Client) readLoop(fr *frameReader) error {
+	// The views this connection's frames built: each views frame patches
+	// them (see the proto package comment), and the first one on a
+	// connection is complete.
+	var np, p view.View
 	for {
 		line, err := fr.next()
 		if err != nil {
@@ -580,12 +584,13 @@ func (c *Client) readLoop(fr *frameReader) error {
 				pc.ch <- callResult{m: m}
 			}
 		case proto.MsgViews:
-			np, err1 := m.NonPreemptView.DecodeView()
-			p, err2 := m.PreemptView.DecodeView()
+			nextNP, err1 := m.NonPreemptView.PatchView(np)
+			nextP, err2 := m.PreemptView.PatchView(p)
 			if err1 != nil || err2 != nil {
 				return errors.Join(err1, err2)
 			}
-			c.notif <- func() { c.h.OnViews(np, p) }
+			np, p = nextNP, nextP
+			c.notif <- func() { c.h.OnViews(nextNP, nextP) }
 		case proto.MsgStart:
 			c.mu.Lock()
 			dup := m.Replay && c.started[m.ReqID]

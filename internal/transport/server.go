@@ -434,9 +434,11 @@ type wireSession struct {
 
 	mu        sync.Mutex
 	cw        *connWriter // nil while detached
-	lastNP    view.View   // latest views, replayed on resume
+	lastNP    view.View   // latest views, sent in full on every attach
 	lastP     view.View
 	haveViews bool
+	sentNP    view.View       // views the attached connection was last sent;
+	sentP     view.View       // nil after attach, so the first frame is complete
 	starts    map[int64][]int // started-but-unfinished requests, replayed on resume
 	idem      map[int64]*idemEntry
 	idemQ     []int64 // insertion order, for cache eviction
@@ -447,18 +449,21 @@ type wireSession struct {
 }
 
 // enqueueLocked marshals and queues one frame on the attached connection,
-// evicting it when the queue is full. Call with ws.mu held — the lock
-// makes state recording and frame ordering atomic against a concurrent
-// resume replay.
-func (ws *wireSession) enqueueLocked(m proto.Message) {
+// evicting it when the queue is full. It reports whether the frame went to
+// the connection: false when detached or on a marshal error. A frame
+// dropped because the connection is dying counts as sent — the client
+// never sees a later frame on that connection. Call with ws.mu held — the
+// lock makes state recording and frame ordering atomic against a
+// concurrent resume replay.
+func (ws *wireSession) enqueueLocked(m proto.Message) bool {
 	cw := ws.cw
 	if cw == nil {
-		return // detached: state is re-delivered on resume
+		return false // detached: state is re-delivered on resume
 	}
 	data, err := m.Marshal()
 	if err != nil {
 		ws.srv.Logf("transport: marshal: %v", err)
-		return
+		return false
 	}
 	if !cw.enqueue(append(data, '\n')) {
 		// Slow consumer: a stalled client must never block the notifier.
@@ -466,6 +471,7 @@ func (ws *wireSession) enqueueLocked(m proto.Message) {
 		ws.srv.stats.evictions.Add(1)
 		cw.evict()
 	}
+	return true
 }
 
 // deliver is enqueueLocked for callers not holding ws.mu.
@@ -479,12 +485,23 @@ func (ws *wireSession) deliver(m proto.Message) {
 func (ws *wireSession) OnViews(np, p view.View) {
 	ws.mu.Lock()
 	ws.lastNP, ws.lastP, ws.haveViews = np, p, true
-	ws.enqueueLocked(proto.Message{
-		Type:           proto.MsgViews,
-		NonPreemptView: proto.EncodeView(np),
-		PreemptView:    proto.EncodeView(p),
-	})
+	ws.sendViewsLocked(false)
 	ws.mu.Unlock()
+}
+
+// sendViewsLocked sends the cached views to the attached connection as a
+// delta against the views last sent there (see the proto package comment
+// for the frame rule). Views are immutable, so remembering what was sent
+// is keeping the references.
+func (ws *wireSession) sendViewsLocked(replay bool) {
+	if ws.enqueueLocked(proto.Message{
+		Type:           proto.MsgViews,
+		NonPreemptView: proto.EncodeViewDelta(ws.sentNP, ws.lastNP),
+		PreemptView:    proto.EncodeViewDelta(ws.sentP, ws.lastP),
+		Replay:         replay,
+	}) {
+		ws.sentNP, ws.sentP = ws.lastNP, ws.lastP
+	}
 }
 
 // OnStart records and forwards a start. Recording and enqueueing share
@@ -540,9 +557,11 @@ func (ws *wireSession) OnRequestsReaped(ids []request.ID) {
 
 // attach installs a connection writer and — in the same critical section,
 // so no concurrent OnStart/OnViews can interleave — sends the connected
-// frame followed by a replay of current state (latest views, every
-// started-but-unfinished request, flagged Replay for client-side
-// deduplication). Returns false when the session is already gone.
+// frame followed by the latest views, complete. A resumed session also
+// gets every started-but-unfinished request; replayed frames are flagged
+// Replay for client-side deduplication. A fresh session needs its views
+// here too: the backend may push them from Connect, before the connection
+// is attached. Returns false when the session is already gone.
 func (ws *wireSession) attach(cw *connWriter, connected proto.Message) bool {
 	ws.mu.Lock()
 	if ws.gone || ws.killed {
@@ -562,15 +581,11 @@ func (ws *wireSession) attach(cw *connWriter, connected proto.Message) bool {
 		ws.droppedAt = time.Time{}
 	}
 	ws.enqueueLocked(connected)
+	ws.sentNP, ws.sentP = nil, nil
+	if ws.haveViews {
+		ws.sendViewsLocked(resumed)
+	}
 	if resumed {
-		if ws.haveViews {
-			ws.enqueueLocked(proto.Message{
-				Type:           proto.MsgViews,
-				NonPreemptView: proto.EncodeView(ws.lastNP),
-				PreemptView:    proto.EncodeView(ws.lastP),
-				Replay:         true,
-			})
-		}
 		ids := make([]int64, 0, len(ws.starts))
 		for id := range ws.starts {
 			ids = append(ids, id)
