@@ -65,8 +65,12 @@ func (q *reqQueue) reset() {
 type scratch struct {
 	q reqQueue
 
-	// Schedule round accumulators.
-	inPA view.View
+	// Schedule round accumulators. rects folds the rectangles of one
+	// occupancy view at a time (toView, fit, the inPA loop); wrapped sums
+	// the wrapped ¬P rectangles of one cluster's fold rebuild.
+	inPA    view.View
+	rects   rectFold
+	wrapped stepfunc.RectSum
 
 	// Incremental-recomputation buffers. paScratch/npScratch alternate with
 	// the per-app cached rect lists (capture into scratch, compare, swap),
@@ -93,6 +97,58 @@ type scratch struct {
 	need     []int
 	grant    []int
 	builders []stepfunc.Builder
+}
+
+// rectFold builds an occupancy view from rectangles, keeping one
+// stepfunc.RectSum per cluster so each profile is summed in one
+// sort-and-sweep pass instead of one profile copy per rectangle. A
+// cluster's event storage is kept across flushes; it holds two events per
+// rectangle of the largest view built on that cluster so far.
+type rectFold struct {
+	sums  map[view.ClusterID]*stepfunc.RectSum
+	cids  []view.ClusterID // clusters holding events, first-touch order
+	added bool             // add was called since the last flush
+}
+
+// add records a rectangle of n nodes on [t0, t0+dur) on cluster cid.
+func (rf *rectFold) add(cid view.ClusterID, t0, dur float64, n int) {
+	rf.added = true
+	s := rf.sums[cid]
+	if s == nil {
+		if rf.sums == nil {
+			rf.sums = make(map[view.ClusterID]*stepfunc.RectSum)
+		}
+		s = new(stepfunc.RectSum)
+		rf.sums[cid] = s
+	}
+	wasEmpty := s.Empty()
+	s.Add(t0, dur, n)
+	if wasEmpty && !s.Empty() {
+		rf.cids = append(rf.cids, cid)
+	}
+}
+
+// flush stores every cluster's non-zero summed profile into dst, allocated
+// when nil, and resets the fold. When add was not called since the last
+// flush it returns dst as it is, so a nil dst stays nil: toView and fit
+// return nil exactly when they visited no rectangle.
+func (rf *rectFold) flush(dst view.View) view.View {
+	if !rf.added {
+		return dst
+	}
+	rf.added = false
+	if dst == nil {
+		dst = make(view.View, len(rf.cids))
+	}
+	for _, cid := range rf.cids {
+		s := rf.sums[cid]
+		if f := s.Fn(); !f.IsZero() {
+			dst[cid] = f
+		}
+		s.Reset()
+	}
+	rf.cids = rf.cids[:0]
+	return dst
 }
 
 // grown returns s resized to n elements, reusing capacity.

@@ -141,7 +141,6 @@ func fitScratch(rs *request.Set, vi view.View, t0 float64, sc *scratch) view.Vie
 	// Schedule converged; compute the generated view (lines 36–38).
 	// The returned view may be nil when nothing was scheduled; a nil View
 	// is valid for every read operation.
-	var vo view.View
 	for _, r := range rs.All() {
 		if r.Fixed {
 			continue
@@ -149,10 +148,7 @@ func fitScratch(rs *request.Set, vi view.View, t0 float64, sc *scratch) view.Vie
 		if math.IsInf(r.ScheduledAt, 1) {
 			continue // unschedulable; occupies nothing
 		}
-		if vo == nil {
-			vo = view.New()
-		}
-		vo.MutAddRect(r.Cluster, r.ScheduledAt, r.Duration, r.NAlloc)
+		sc.rects.add(r.Cluster, r.ScheduledAt, r.Duration, r.NAlloc)
 	}
-	return vo
+	return sc.rects.flush(nil)
 }

@@ -291,8 +291,10 @@ func (s *Scheduler) refreshAppLocked(a *AppState, now float64, npFold, pFold map
 // wrapped ¬P excess) and basePv (capacity minus started ¬P allocations).
 // The per-cluster op sequence matches the full recomputation exactly —
 // capacity rectangle, one k-way sum subtraction in application order, then
-// the wrapped rectangles in (application, set) order — so the rebuilt
-// profiles are byte-identical to a from-scratch round.
+// the sum of the wrapped rectangles, folded in one sort-and-sweep pass —
+// so the rebuilt profiles are byte-identical to a from-scratch round
+// (profiles are canonical and node counts integers, so neither the
+// rectangle order nor the grouping changes a single breakpoint).
 func (s *Scheduler) rebuildFoldClusterLocked(cid view.ClusterID) {
 	s.stats.FoldClustersRecomputed++
 	var base *stepfunc.StepFunc
@@ -312,14 +314,17 @@ func (s *Scheduler) rebuildFoldClusterLocked(cid view.ClusterID) {
 	if len(fs) > 0 {
 		np = np.Sub(stepfunc.SumAll(fs))
 	}
+	wrapped := &s.sc.wrapped
+	wrapped.Reset()
 	for _, a := range s.apps {
 		for i := range a.cache.npRects {
 			r := &a.cache.npRects[i]
 			if r.wrapped && r.cid == cid {
-				np = np.AddRect(r.t0, r.dur, -r.n)
+				wrapped.Add(r.t0, r.dur, -r.n)
 			}
 		}
 	}
+	np = np.Add(wrapped.Fn())
 	if np.IsZero() {
 		delete(s.baseNP, cid)
 	} else {

@@ -444,6 +444,12 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 	// request-less there, and this keeps the round cost proportional to the
 	// applications the shard actually schedules.
 	var idleViewNP view.View
+	// vNPFree is vNP.ClampMin(0), computed on first use after each change
+	// of vNP: between two batch applications every consumer (the
+	// not-admitted, idle and active views) clamps the same running
+	// availability. It may alias vNP; consumers only read it, and every
+	// mutation of vNP resets it.
+	var vNPFree view.View
 	for _, a := range apps {
 		c := &a.cache
 		if dynamic && !a.admitted {
@@ -454,7 +460,9 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 			s.stats.CBFRecomputed++
 			unschedulePending(a.PA)
 			unschedulePending(a.NP)
-			vNPFree := vNP.ClampMin(0)
+			if vNPFree == nil {
+				vNPFree = vNP.ClampMin(0)
+			}
 			viewNP := a.startedPA.Add(vNPFree)
 			if s.clip != nil {
 				viewNP = viewNP.Clip(s.clip)
@@ -474,6 +482,7 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 					vNPShared = false
 				}
 				vNP.MutSub(c.cbfExcess)
+				vNPFree = nil
 			}
 			continue
 		}
@@ -481,7 +490,9 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		s.stats.CBFRecomputed++
 		if a.PA.Len() == 0 && a.NP.Len() == 0 {
 			if idleViewNP == nil {
-				vNPFree := vNP.ClampMin(0)
+				if vNPFree == nil {
+					vNPFree = vNP.ClampMin(0)
+				}
 				viewNP := view.View(nil).Add(vNPFree)
 				if s.clip != nil {
 					viewNP = viewNP.Clip(s.clip)
@@ -496,7 +507,9 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 
 		// V_¬P^(i) = toView(R_PA) + V_¬P (line 7): the application sees its
 		// own pre-allocated space plus the globally free space.
-		vNPFree := vNP.ClampMin(0)
+		if vNPFree == nil {
+			vNPFree = vNP.ClampMin(0)
+		}
 		viewNP := a.startedPA.Add(vNPFree)
 		if s.clip != nil {
 			viewNP = viewNP.Clip(s.clip)
@@ -514,9 +527,10 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 		clear(sc.inPA)
 		for _, r := range a.NP.All() {
 			if r.Fixed && !r.Wrapped {
-				sc.inPA.MutAddRect(r.Cluster, r.ScheduledAt, r.Duration, r.NAlloc)
+				sc.rects.add(r.Cluster, r.ScheduledAt, r.Duration, r.NAlloc)
 			}
 		}
+		sc.rects.flush(sc.inPA)
 		paFree := a.startedPA.Add(voccPA)
 		paFree.MutSub(sc.inPA)
 		availNP := paFree.Add(vNPFree)
@@ -545,6 +559,7 @@ func (s *Scheduler) Schedule(now float64) *Outcome {
 			}
 			vNP.MutSub(voccPA)
 			vNP.MutSub(excess)
+			vNPFree = nil
 		}
 		if len(voccNP) > 0 {
 			if vPShared {

@@ -26,8 +26,6 @@ func toView(rs *request.Set, vi view.View, now float64) view.View {
 // toViewScratch is toView with caller-provided scratch buffers; the
 // scheduler threads one scratch through all the rounds it runs.
 func toViewScratch(rs *request.Set, vi view.View, now float64, sc *scratch) view.View {
-	var vo view.View
-
 	// Initialization: clear the fixed flag of every request (Alg. 1 line 2).
 	for _, r := range rs.All() {
 		r.Fixed = false
@@ -73,10 +71,7 @@ func toViewScratch(rs *request.Set, vi view.View, now float64, sc *scratch) view
 			r.NAlloc = vi.Alloc(r.Cluster, r.N, t0, t1-t0)
 		}
 		r.Fixed = true
-		if vo == nil {
-			vo = view.New()
-		}
-		vo.MutAddRect(r.Cluster, r.ScheduledAt, r.Duration, r.NAlloc)
+		sc.rects.add(r.Cluster, r.ScheduledAt, r.Duration, r.NAlloc)
 
 		// Enqueue pending children of this request (lines 23–24); started
 		// children are already in the queue from the initialization pass.
@@ -86,5 +81,5 @@ func toViewScratch(rs *request.Set, vi view.View, now float64, sc *scratch) view
 			}
 		})
 	}
-	return vo
+	return sc.rects.flush(nil)
 }

@@ -222,6 +222,55 @@ func TestOperationsStayNormalized(t *testing.T) {
 	}
 }
 
+// randRects draws a rectangle list that mixes the edge cases of
+// RectSum: starts at 0, shared endpoints, negative heights, infinite
+// durations, pairs that cancel to zero and degenerate rectangles whose
+// end rounds onto their start.
+func randRects(r *rand.Rand) [][3]float64 {
+	var out [][3]float64
+	for k := r.Intn(12); k > 0; k-- {
+		t0 := float64(r.Intn(6) * 10) // coarse grid: endpoints collide
+		dur := float64(r.Intn(4) * 10)
+		n := float64(r.Intn(11) - 5)
+		switch r.Intn(8) {
+		case 0:
+			dur = Inf
+		case 1:
+			t0, dur = 1e17, 1
+		case 2:
+			if len(out) > 0 {
+				c := out[len(out)-1]
+				t0, dur, n = c[0], c[1], -c[2]
+			}
+		}
+		out = append(out, [3]float64{t0, dur, n})
+	}
+	return out
+}
+
+// TestRectSumMatchesAddRectFold pins the rectangle sweep to the AddRect
+// fold: the same function, stored with the same breakpoints.
+func TestRectSumMatchesAddRectFold(t *testing.T) {
+	r := rand.New(rand.NewSource(11))
+	var s RectSum
+	for iter := 0; iter < 5000; iter++ {
+		rects := randRects(r)
+		s.Reset()
+		want := Zero()
+		for _, c := range rects {
+			s.Add(c[0], c[1], int(c[2]))
+			want = want.AddRect(c[0], c[1], int(c[2]))
+		}
+		got := s.Fn()
+		if !got.Equal(want) || got.Len() != want.Len() {
+			t.Fatalf("iter %d: rects %v\n RectSum = %v\n fold    = %v", iter, rects, got, want)
+		}
+		if again := s.Fn(); !again.Equal(got) {
+			t.Fatalf("iter %d: a second Fn = %v, want %v", iter, again, got)
+		}
+	}
+}
+
 // ---------------------------------------------------------------------------
 // Allocation-regression tests: the merge-based core must do exactly one
 // exact-capacity slice allocation plus one header per fresh result, and
@@ -253,6 +302,31 @@ func TestAllocsBinaryOps(t *testing.T) {
 		if got > c.max {
 			t.Errorf("%s: %v allocs/op, want <= %v", c.name, got, c.max)
 		}
+	}
+}
+
+// TestAllocsRectSum pins the rectangle sweep's allocations: Add reuses the
+// event storage once it has grown, and Fn allocates only its result (the
+// exact-capacity points and the profile header, like every other fresh
+// result of this package).
+func TestAllocsRectSum(t *testing.T) {
+	var s RectSum
+	fill := func() {
+		s.Reset()
+		for i := 0; i < 64; i++ {
+			s.Add(float64(i*100), float64(50+i), 1+i%7)
+		}
+	}
+	fill()
+	if got := testing.AllocsPerRun(100, fill); got != 0 {
+		t.Errorf("RectSum.Add: %v allocs per 64 rectangles, want 0", got)
+	}
+	if got := testing.AllocsPerRun(100, func() {
+		if s.Fn().IsZero() {
+			t.Fatal("zero sum")
+		}
+	}); got != 2 {
+		t.Errorf("RectSum.Fn: %v allocs/op, want 2", got)
 	}
 }
 

@@ -27,10 +27,14 @@ func decodeFuzzFn(data []byte) (*StepFunc, []byte) {
 }
 
 // checkCanonical asserts the StepFunc representation invariants: strictly
-// increasing breakpoint times, no two consecutive equal values, and the
+// increasing breakpoint times starting at 0, no two consecutive equal
+// values, and the
 // forbidden {0,0} singleton collapsed to the shared zero.
 func checkCanonical(t *testing.T, f *StepFunc) {
 	t.Helper()
+	if len(f.pts) > 0 && f.pts[0].t != 0 {
+		t.Fatalf("first breakpoint after 0: %v", f.pts)
+	}
 	for i := 1; i < len(f.pts); i++ {
 		if f.pts[i].t <= f.pts[i-1].t {
 			t.Fatalf("non-increasing breakpoints at %d: %v", i, f.pts)
@@ -145,6 +149,47 @@ func FuzzSumAll(f *testing.F) {
 		}
 		if math.Abs(gi-wi) > 1e-6*(1+math.Abs(wi)) {
 			t.Fatalf("integral mismatch: %v vs %v", gi, wi)
+		}
+	})
+}
+
+// FuzzRectSum differentially checks the sort-and-sweep rectangle sum
+// against the AddRect fold on fuzzer-chosen rectangles. Each rectangle is
+// four bytes: a start, a duration, a height and a flag byte whose bits
+// select an infinite duration, a degenerate far-away start (the end
+// rounds onto it), or a copy of the previous rectangle with the height
+// negated (so the two cancel).
+func FuzzRectSum(f *testing.F) {
+	f.Add([]byte{})
+	f.Add([]byte{0, 10, 3, 0, 5, 10, 2, 0, 5, 10, 2, 4})
+	f.Add([]byte{0, 0, 7, 1, 10, 1, 9, 2, 3, 4, 251, 0, 10, 1, 9, 4})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var s RectSum
+		want := Zero()
+		var t0, dur float64
+		var n int
+		for ; len(data) >= 4; data = data[4:] {
+			flags := data[3]
+			if flags&4 != 0 {
+				n = -n // cancel the previous rectangle
+			} else {
+				t0 = float64(data[0] % 64)
+				dur = float64(data[1] % 32)
+				n = int(int8(data[2]))
+				if flags&1 != 0 {
+					dur = Inf
+				}
+				if flags&2 != 0 {
+					t0, dur = 1e17, 1
+				}
+			}
+			s.Add(t0, dur, n)
+			want = want.AddRect(t0, dur, n)
+		}
+		got := s.Fn()
+		checkCanonical(t, got)
+		if !got.Equal(want) {
+			t.Fatalf("RectSum = %v, AddRect fold = %v", got, want)
 		}
 	})
 }

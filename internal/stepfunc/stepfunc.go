@@ -14,13 +14,16 @@
 // normalized (strictly increasing times, no repeated values), so every
 // binary operation emits its result already normalized, with exactly one
 // slice allocation of exact capacity. Hot callers can go further with the
-// *Into variants and the Builder, which reuse caller-owned storage, and
-// with SumAll, which folds any number of operands in one k-way pass.
+// *Into variants and the Builder, which reuse caller-owned storage, with
+// SumAll, which folds any number of operands in one k-way pass, and with
+// RectSum, which sums any number of rectangles in one sort-and-sweep pass.
 package stepfunc
 
 import (
+	"cmp"
 	"fmt"
 	"math"
+	"slices"
 	"sort"
 	"strings"
 )
@@ -105,24 +108,10 @@ func ownPts(pts []point) *StepFunc {
 // Rect returns a step function that is n on [t0, t0+dur) and 0 elsewhere.
 // dur may be Inf.
 func Rect(t0, dur float64, n int) *StepFunc {
-	if t0 < 0 {
-		panic("stepfunc: negative rect start")
-	}
-	if dur < 0 {
-		panic("stepfunc: negative rect duration")
-	}
-	if dur == 0 || n == 0 {
+	if emptyRect(t0, dur, n) {
 		return zeroFunc
 	}
-	pts := make([]point, 0, 3)
-	if t0 > 0 {
-		pts = append(pts, point{0, 0})
-	}
-	pts = append(pts, point{t0, n})
-	if !math.IsInf(dur, 1) {
-		pts = append(pts, point{t0 + dur, 0})
-	}
-	return &StepFunc{pts: pts}
+	return &StepFunc{pts: appendRectPts(make([]point, 0, 3), t0, dur, n)}
 }
 
 // Value returns the function value at time t. Values for t < 0 are reported
@@ -436,15 +425,10 @@ func (f *StepFunc) ClampMin(lo int) *StepFunc {
 
 // AddRect returns f plus a rectangle of height n on [t0, t0+dur).
 // It is the building block for the paper's "generated views" (Algorithm 1,
-// line 22). dur may be Inf. If the rectangle is empty, f itself is returned.
+// line 22). dur may be Inf. If the rectangle is empty (see emptyRect), f
+// itself is returned.
 func (f *StepFunc) AddRect(t0, dur float64, n int) *StepFunc {
-	if t0 < 0 {
-		panic("stepfunc: negative rect start")
-	}
-	if dur < 0 {
-		panic("stepfunc: negative rect duration")
-	}
-	if dur == 0 || n == 0 {
+	if emptyRect(t0, dur, n) {
 		return f
 	}
 	var buf [3]point
@@ -456,13 +440,7 @@ func (f *StepFunc) AddRect(t0, dur float64, n int) *StepFunc {
 // AddRectInto stores f plus the rectangle into dst (see combineInto for the
 // reuse contract).
 func (f *StepFunc) AddRectInto(t0, dur float64, n int, dst *StepFunc) *StepFunc {
-	if t0 < 0 {
-		panic("stepfunc: negative rect start")
-	}
-	if dur < 0 {
-		panic("stepfunc: negative rect duration")
-	}
-	if dur == 0 || n == 0 {
+	if emptyRect(t0, dur, n) {
 		if dst == nil || dst == zeroFunc || dst == f {
 			return f
 		}
@@ -482,8 +460,22 @@ func (f *StepFunc) AddRectInto(t0, dur float64, n int, dst *StepFunc) *StepFunc 
 	return dst
 }
 
+// emptyRect validates a rectangle of height n on [t0, t0+dur) and reports
+// whether it covers nothing: a zero height, a zero duration, or an end that
+// rounds onto its start (t0+dur == t0, a tiny duration at a large t0). A
+// negative start or duration panics.
+func emptyRect(t0, dur float64, n int) bool {
+	if t0 < 0 {
+		panic("stepfunc: negative rect start")
+	}
+	if dur < 0 {
+		panic("stepfunc: negative rect duration")
+	}
+	return dur == 0 || n == 0 || t0+dur == t0
+}
+
 // appendRectPts appends the normalized points of Rect(t0, dur, n) onto dst.
-// dur and n must be non-zero, dur and t0 non-negative.
+// The rectangle must not be empty (see emptyRect).
 func appendRectPts(dst []point, t0, dur float64, n int) []point {
 	if t0 > 0 {
 		dst = append(dst, point{0, 0})
@@ -554,6 +546,87 @@ func (b *Builder) Fn() *StepFunc {
 		return zeroFunc
 	}
 	return &StepFunc{pts: out}
+}
+
+// RectSum accumulates rectangles and folds them into one profile with a
+// single sort-and-sweep pass. Adding k rectangles one by one with AddRect
+// copies the growing profile k times; RectSum records two events per
+// rectangle and builds the sum once, in O(k log k). Node counts are
+// integers, so the sum does not depend on the order of the rectangles and
+// Fn equals the AddRect fold exactly. The zero value is ready to use, and
+// Reset keeps the event storage for the next sum.
+type RectSum struct {
+	ev []point // +n at each rectangle's start, -n at its finite end
+}
+
+// Reset clears the accumulator, keeping its storage.
+func (s *RectSum) Reset() { s.ev = s.ev[:0] }
+
+// Empty reports whether no non-empty rectangle was added since Reset.
+func (s *RectSum) Empty() bool { return len(s.ev) == 0 }
+
+// Add records a rectangle of height n on [t0, t0+dur), with the same
+// contract as AddRect: dur may be Inf, a negative start or duration panics,
+// and an empty rectangle (see emptyRect) is dropped. It allocates only
+// when the event storage must grow.
+func (s *RectSum) Add(t0, dur float64, n int) {
+	if emptyRect(t0, dur, n) {
+		return
+	}
+	s.ev = append(s.ev, point{t0, n})
+	if !math.IsInf(dur, 1) {
+		s.ev = append(s.ev, point{t0 + dur, -n})
+	}
+}
+
+// Fn returns the sum of the rectangles added since Reset as a fresh
+// immutable profile, allocating only its exact-capacity result. The
+// accumulator stays as it is (its events are reordered), so Fn may be
+// called again.
+func (s *RectSum) Fn() *StepFunc {
+	ev := s.ev
+	if len(ev) == 0 {
+		return zeroFunc
+	}
+	slices.SortFunc(ev, func(a, b point) int { return cmp.Compare(a.t, b.t) })
+	// Two sweeps over the sorted events: the first counts the breakpoints
+	// so the second can fill an exact-capacity slice.
+	k, first := 0, 0.0
+	sweepEvents(ev, func(p point) {
+		if k == 0 {
+			first = p.t
+		}
+		k++
+	})
+	if k == 0 {
+		return zeroFunc // the rectangles cancel out
+	}
+	anchor := first > 0 // the function is 0 on [0, first)
+	if anchor {
+		k++
+	}
+	pts := make([]point, 0, k)
+	if anchor {
+		pts = append(pts, point{0, 0})
+	}
+	sweepEvents(ev, func(p point) { pts = append(pts, p) })
+	return &StepFunc{pts: pts}
+}
+
+// sweepEvents walks time-sorted events, summing the events at equal times,
+// and calls emit with each breakpoint at which the running sum (0 before
+// the first event) changes.
+func sweepEvents(ev []point, emit func(point)) {
+	sum := 0
+	for i := 0; i < len(ev); {
+		t, prev := ev[i].t, sum
+		for ; i < len(ev) && ev[i].t == t; i++ {
+			sum += ev[i].n
+		}
+		if sum != prev {
+			emit(point{t, sum})
+		}
+	}
 }
 
 // MinOn returns the minimum value of f on [t0, t1). t1 may be Inf.

@@ -139,6 +139,34 @@ func TestAddRect(t *testing.T) {
 	}
 }
 
+// TestDegenerateRect pins that a rectangle whose end rounds onto its start
+// (t0+dur == t0) covers nothing: before, it left two breakpoints at t0.
+func TestDegenerateRect(t *testing.T) {
+	base := Rect(0, 2e17, 2)
+	if got := Rect(1e17, 1, 5); !got.IsZero() {
+		t.Errorf("Rect(1e17, 1, 5) = %v, want zero", got)
+	}
+	if got := Rect(Inf, Inf, 5); !got.IsZero() {
+		t.Errorf("Rect(Inf, Inf, 5) = %v, want zero", got)
+	}
+	if got := base.AddRect(1e17, 1, 5); got != base {
+		t.Errorf("AddRect of a degenerate rectangle = %v, want the operand back", got)
+	}
+	if got := base.AddRectInto(1e17, 1e-300, 5, &StepFunc{}); !got.Equal(base) {
+		t.Errorf("AddRectInto of a degenerate rectangle = %v, want %v", got, base)
+	}
+	var s RectSum
+	s.Add(1e17, 1, 5)
+	if !s.Empty() {
+		t.Errorf("RectSum kept a degenerate rectangle: %v", s.ev)
+	}
+	s.Add(0, 2e17, 2)
+	s.Add(1e17, 1, 5)
+	if got := s.Fn(); !got.Equal(base) {
+		t.Errorf("RectSum = %v, want %v", got, base)
+	}
+}
+
 func TestMinOn(t *testing.T) {
 	f := FromSteps(Step{10, 4}, Step{10, 1}, Step{10, 6})
 	cases := []struct {

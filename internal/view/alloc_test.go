@@ -60,10 +60,13 @@ func TestDifferentialMutOps(t *testing.T) {
 		t0 := float64(r.Intn(200))
 		dur := float64(1 + r.Intn(200))
 		n := r.Intn(9) - 4
-		acc = v.Clone()
-		acc.MutAddRect(cid, t0, dur, n)
-		if want := v.AddRect(cid, t0, dur, n); !acc.Equal(want) {
-			t.Fatalf("iter %d: MutAddRect: got %v want %v", iter, acc, want)
+		before := v.Clone()
+		got := v.AddRect(cid, t0, dur, n)
+		if want := v.Add(View{cid: stepfunc.Rect(t0, dur, n)}); !got.Equal(want) {
+			t.Fatalf("iter %d: AddRect: got %v want %v", iter, got, want)
+		}
+		if !v.Equal(before) {
+			t.Fatalf("iter %d: AddRect mutated its receiver: %v, was %v", iter, v, before)
 		}
 
 		// Sum against a fold of Adds.
@@ -88,7 +91,6 @@ func TestMutOpsDoNotMutateProfiles(t *testing.T) {
 	o := View{"a": stepfunc.Constant(2)}
 	v.MutAdd(o)
 	v.MutSub(o)
-	v.MutAddRect("a", 10, 20, 3)
 	v.MutClampMin(1)
 	if !f.Equal(snapshot) {
 		t.Fatalf("profile mutated in place: %v != %v", f, snapshot)
@@ -110,15 +112,6 @@ func TestAllocsViewOps(t *testing.T) {
 	})
 	if got > 5 {
 		t.Errorf("View.AddRect: %v allocs/op, want <= 5", got)
-	}
-
-	// The mutable accumulator pays only for the fresh profile.
-	acc := v.Clone()
-	got = testing.AllocsPerRun(200, func() {
-		acc.MutAddRect("a", 600, 5000, 3)
-	})
-	if got > 2 {
-		t.Errorf("View.MutAddRect: %v allocs/op, want <= 2", got)
 	}
 
 	acc2 := v.Clone()

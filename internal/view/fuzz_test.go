@@ -80,7 +80,8 @@ func FuzzMutViewOps(f *testing.F) {
 		mutClamp.MutClampMin(clamp)
 		expectEqual("MutClampMin", mutClamp, a.ClampMin(clamp))
 
-		// MutAddRect vs AddRect: bound the rectangle into the sane domain.
+		// AddRect vs adding a one-rectangle view: bound the rectangle into
+		// the sane domain.
 		rt0 := t0
 		if !(rt0 >= 0 && rt0 < 1e6) {
 			rt0 = 1
@@ -90,9 +91,7 @@ func FuzzMutViewOps(f *testing.F) {
 			rdur = 2
 		}
 		rn := int(n % 256)
-		mutRect := a.Clone()
-		mutRect.MutAddRect("x", rt0, rdur, rn)
-		expectEqual("MutAddRect", mutRect, a.AddRect("x", rt0, rdur, rn))
+		expectEqual("AddRect", a.AddRect("x", rt0, rdur, rn), a.Add(View{"x": stepfunc.Rect(rt0, rdur, rn)}))
 
 		// The immutable inputs must not have been disturbed by any Mut op
 		// (profiles may be shared, never mutated) — b especially, since it

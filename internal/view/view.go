@@ -195,20 +195,6 @@ func (v View) MutClampMin(lo int) {
 	}
 }
 
-// MutAddRect adds a rectangle of n nodes on [t0, t0+dur) to cluster cid,
-// mutating v's map in place. Unlike the immutable AddRect it does not clone
-// the map, which makes accumulating many rectangles linear instead of
-// quadratic. n may be negative (used by the scheduler to retire
-// allocations from an availability accumulator).
-func (v View) MutAddRect(cid ClusterID, t0, dur float64, n int) {
-	f := v.Get(cid).AddRect(t0, dur, n)
-	if f.IsZero() {
-		delete(v, cid)
-	} else {
-		v[cid] = f
-	}
-}
-
 // ClampMin returns the view with every profile clamped below at lo
 // (typically 0, to present applications only non-negative availability).
 // If no profile changes, v itself is returned.
@@ -251,9 +237,15 @@ func (v View) transformed(op func(*stepfunc.StepFunc) *stepfunc.StepFunc) View {
 // AddRect returns the view with a rectangle of n nodes on [t0, t0+dur)
 // added on cluster cid. It is Algorithm 1's
 // "Vo ← Vo + {r.cid : [(r.scheduledAt, 0), (r.duration, r.nalloc)]}".
+// To build a view from many rectangles, sum each cluster's rectangles with
+// a stepfunc.RectSum instead: every AddRect copies the map and the profile.
 func (v View) AddRect(cid ClusterID, t0, dur float64, n int) View {
 	out := v.Clone()
-	out.MutAddRect(cid, t0, dur, n)
+	if f := v.Get(cid).AddRect(t0, dur, n); f.IsZero() {
+		delete(out, cid)
+	} else {
+		out[cid] = f
+	}
 	return out
 }
 
